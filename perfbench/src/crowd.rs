@@ -23,7 +23,7 @@ use crate::pipeline::{LayerCosts, Pipeline};
 use crate::report::{median, EndToEnd, Latencies, Outcome};
 use crate::spans::SpanLog;
 use crate::transcript::Transcript;
-use crate::{passes_until, segmented_feed, write_spans, RunArgs, Scale};
+use crate::{drop_one_match, passes_until, segmented_feed, write_spans, RunArgs, Scale};
 
 /// Window length and minimum duration (frames).
 const WINDOW: (usize, usize) = (40, 20);
@@ -92,12 +92,15 @@ pub fn build_engine(input: &Input, kind: MaintainerKind) -> Result<TemporalVideo
 }
 
 /// Runs every frame through a fresh engine of `kind`, returning the
-/// transcript (untimed; used as the reference).
-pub fn engine_transcript(input: &Input, kind: MaintainerKind) -> Result<Transcript> {
+/// transcript (untimed; used as the reference). With `corrupt`, one match
+/// is dropped from it (the negative control).
+pub fn engine_transcript(input: &Input, kind: MaintainerKind, corrupt: bool) -> Result<Transcript> {
     let mut engine = build_engine(input, kind)?;
     let mut transcript = Transcript::default();
+    let mut armed = corrupt;
     for frame in &input.frames {
-        let result = engine.observe(frame)?;
+        let mut result = engine.observe(frame)?;
+        drop_one_match(&mut armed, &mut result.matches);
         transcript.frame(0, result.frame.0, &result.matches);
     }
     Ok(transcript)
@@ -171,15 +174,9 @@ fn engine_pass(input: &Input, e2e: &mut EndToEnd, outcome: &mut Outcome) -> Resu
     Ok(transcript)
 }
 
-/// Compares transcripts against the reference, recording a problem for
-/// each mismatch.
-pub fn check(outcome: &mut Outcome, what: &str, reference: &Transcript, got: &Transcript) {
-    outcome.expect_eq(what, reference, got);
-}
-
 /// The MFS_O transcript every pass is checked against.
-fn reference(input: &Input, outcome: &mut Outcome) -> Result<Transcript> {
-    let reference = engine_transcript(input, MaintainerKind::Mfs)?;
+fn reference(input: &Input, args: &RunArgs, outcome: &mut Outcome) -> Result<Transcript> {
+    let reference = engine_transcript(input, MaintainerKind::Mfs, args.corrupt_reference)?;
     outcome.notes.push(format!(
         "crowd: {} frames/pass, {} matches/pass, window {}/{}",
         input.frames.len(),
@@ -208,20 +205,15 @@ pub fn run(args: &RunArgs) -> Result<Outcome> {
             Ok(())
         })?;
         e2e.capture_rss();
-        let reference = reference(&input, &mut outcome)?;
+        let reference = reference(&input, args, &mut outcome)?;
         for transcript in &transcripts {
-            check(
-                &mut outcome,
-                "SSG_O engine vs MFS_O engine",
-                &reference,
-                transcript,
-            );
+            outcome.expect_eq("SSG_O engine vs MFS_O engine", &reference, transcript);
         }
         e2e.finish(&mut outcome, args.scale);
         return Ok(outcome);
     }
 
-    let reference = reference(&input, &mut outcome)?;
+    let reference = reference(&input, args, &mut outcome)?;
     // Traced run: untraced and traced passes alternate, so both see the
     // same machine conditions; the gap between them is the tracing cost.
     let mut e2e = EndToEnd::default();
@@ -231,16 +223,10 @@ pub fn run(args: &RunArgs) -> Result<Outcome> {
     let mut requests = 0u64;
     passes_until(deadline, 2, |_| {
         let transcript = engine_pass(&input, &mut e2e, &mut outcome)?;
-        check(
-            &mut outcome,
-            "SSG_O engine vs MFS_O engine",
-            &reference,
-            &transcript,
-        );
+        outcome.expect_eq("SSG_O engine vs MFS_O engine", &reference, &transcript);
         let traced = traced_pass(&input, &mut spans, requests)?;
         requests += frames as u64;
-        check(
-            &mut outcome,
+        outcome.expect_eq(
             "traced pipeline vs MFS_O engine",
             &reference,
             &traced.transcript,

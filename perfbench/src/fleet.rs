@@ -22,7 +22,7 @@ use crate::pipeline::{LayerCosts, Pipeline};
 use crate::report::{median, EndToEnd, Latencies, Outcome};
 use crate::spans::SpanLog;
 use crate::transcript::Transcript;
-use crate::{passes_until, write_spans, RunArgs, Scale};
+use crate::{drop_one_match, passes_until, write_spans, RunArgs, Scale};
 
 /// Window length and minimum duration (frames).
 const WINDOW: (usize, usize) = (20, 10);
@@ -35,7 +35,7 @@ const QUERIES: [&str; 3] = [
 /// Worker threads.
 const WORKERS: usize = 2;
 /// Tagged frames per `push_batch`.
-const BATCH: usize = 96;
+const BATCH: usize = 288;
 /// Engine builds per set-up sample (one build takes well under a
 /// millisecond).
 const SETUP_BATCH: usize = 16;
@@ -77,7 +77,7 @@ fn profiles(frames: usize) -> Vec<DatasetProfile> {
 /// Generates the batches of `seed`.
 pub fn input(seed: u64, scale: Scale) -> Input {
     let frames_per_feed = match scale {
-        Scale::Full => 16000,
+        Scale::Full => 48000,
         Scale::Tiny => 120,
     };
     let feeds = generate_feeds(&profiles(frames_per_feed), seed);
@@ -115,20 +115,32 @@ pub fn build(workers: usize) -> Result<MultiFeedEngine> {
         .build()
 }
 
-fn record(transcript: &mut Transcript, results: &[FeedFrameResult]) {
+/// One transcript per camera: each feed's results come back in frame
+/// order, while results of different feeds may interleave differently.
+pub type FeedTranscripts = Vec<Transcript>;
+
+fn record(transcripts: &mut FeedTranscripts, results: &[FeedFrameResult]) {
     for r in results {
-        transcript.frame(r.feed.raw(), r.result.frame.0, &r.result.matches);
+        let feed = r.feed.raw();
+        transcripts[feed as usize].frame(feed, r.result.frame.0, &r.result.matches);
     }
 }
 
-/// Runs every batch through a fresh engine with `workers` workers.
-pub fn transcript(input: &Input, workers: usize) -> Result<Transcript> {
+/// Runs every batch through a fresh engine with `workers` workers. With
+/// `corrupt`, one match is dropped from the transcripts (the negative
+/// control).
+pub fn transcripts(input: &Input, workers: usize, corrupt: bool) -> Result<FeedTranscripts> {
     let mut engine = build(workers)?;
-    let mut transcript = Transcript::default();
+    let mut transcripts = vec![Transcript::default(); input.feeds];
+    let mut armed = corrupt;
     for batch in &input.batches {
-        record(&mut transcript, &engine.push_batch(batch)?);
+        let mut results = engine.push_batch(batch)?;
+        for r in &mut results {
+            drop_one_match(&mut armed, &mut r.result.matches);
+        }
+        record(&mut transcripts, &results);
     }
-    Ok(transcript)
+    Ok(transcripts)
 }
 
 /// What a traced pass read from the scheduler.
@@ -147,7 +159,7 @@ fn pass(
     e2e: &mut EndToEnd,
     outcome: &mut Outcome,
     traced: Option<&mut Schedule>,
-) -> Result<Transcript> {
+) -> Result<FeedTranscripts> {
     for _ in 0..SETUP_SAMPLES {
         let t0 = Instant::now();
         for _ in 0..SETUP_BATCH {
@@ -157,7 +169,7 @@ fn pass(
             .push(t0.elapsed().as_secs_f64() / SETUP_BATCH as f64);
     }
     let mut engine = build(WORKERS)?;
-    let mut transcript = Transcript::default();
+    let mut transcripts = vec![Transcript::default(); input.feeds];
     let mut busy = Duration::ZERO;
     let mut stats = SchedulingStats::default();
     let mut schedule = Schedule::default();
@@ -177,7 +189,7 @@ fn pass(
         match results {
             Ok(results) => {
                 latencies.record(elapsed);
-                record(&mut transcript, &results);
+                record(&mut transcripts, &results);
             }
             Err(_) => {
                 outcome.failed += 1;
@@ -195,11 +207,11 @@ fn pass(
     } else {
         e2e.pass(input.frames, busy, &latencies);
     }
-    Ok(transcript)
+    Ok(transcripts)
 }
 
 /// Replays every feed through its own rebuilt pipeline, in batch order.
-fn pipeline_replay(input: &Input, spans: &mut SpanLog) -> Result<(Vec<Pipeline>, u64)> {
+fn pipeline_replay(input: &Input, spans: &mut SpanLog) -> Result<(Vec<Pipeline>, FeedTranscripts)> {
     let mut registry = tvq_common::ClassRegistry::with_default_classes();
     let queries = QUERIES
         .iter()
@@ -216,30 +228,33 @@ fn pipeline_replay(input: &Input, spans: &mut SpanLog) -> Result<(Vec<Pipeline>,
             )
         })
         .collect::<Result<Vec<_>>>()?;
-    let mut matches = 0u64;
+    let mut transcripts = vec![Transcript::default(); input.feeds];
     for (request, frame) in input.batches.iter().flatten().enumerate() {
-        let pipeline = &mut pipelines[frame.feed.raw() as usize];
-        matches += pipeline.observe(&frame.frame, request as u64, spans)?.len() as u64;
+        let feed = frame.feed.raw();
+        let matches = pipelines[feed as usize].observe(&frame.frame, request as u64, spans)?;
+        transcripts[feed as usize].frame(feed, frame.frame.fid.0, &matches);
     }
-    Ok((pipelines, matches))
+    Ok((pipelines, transcripts))
 }
 
-/// The one-worker transcript every pass is checked against.
-fn reference(input: &Input, outcome: &mut Outcome) -> Result<Transcript> {
-    let reference = transcript(input, 1)?;
+/// The one-worker transcripts every pass is checked against.
+fn reference(input: &Input, args: &RunArgs, outcome: &mut Outcome) -> Result<FeedTranscripts> {
+    let reference = transcripts(input, 1, args.corrupt_reference)?;
     outcome.notes.push(format!(
         "fleet: {} feeds, {} frames in {} batches/pass, {} matches/pass, {WORKERS} workers",
         input.feeds,
         input.frames,
         input.batches.len(),
-        reference.matches
+        matches(&reference)
     ));
     Ok(reference)
 }
 
-fn check(outcome: &mut Outcome, reference: &Transcript, got: &Transcript) {
-    outcome.expect_eq("2-worker transcript vs 1-worker run", reference, got);
+fn matches(transcripts: &FeedTranscripts) -> u64 {
+    transcripts.iter().map(|t| t.matches).sum()
 }
+
+const CHECK: &str = "2-worker transcripts vs 1-worker run";
 
 /// Runs the workload.
 pub fn run(args: &RunArgs) -> Result<Outcome> {
@@ -255,35 +270,39 @@ pub fn run(args: &RunArgs) -> Result<Outcome> {
             Ok(())
         })?;
         e2e.capture_rss();
-        let reference = reference(&input, &mut outcome)?;
+        let reference = reference(&input, args, &mut outcome)?;
         for got in &transcripts {
-            check(&mut outcome, &reference, got);
+            outcome.expect_eq(CHECK, &reference, got);
         }
         e2e.finish(&mut outcome, args.scale);
         return Ok(outcome);
     }
 
-    let reference = reference(&input, &mut outcome)?;
+    let reference = reference(&input, args, &mut outcome)?;
     let mut schedule = Schedule::default();
     let mut traced_passes = 0u64;
     passes_until(deadline, 2, |_| {
         let got = pass(&input, &mut e2e, &mut outcome, None)?;
-        check(&mut outcome, &reference, &got);
+        outcome.expect_eq(CHECK, &reference, &got);
         let got = pass(&input, &mut e2e, &mut outcome, Some(&mut schedule))?;
-        check(&mut outcome, &reference, &got);
+        outcome.expect_eq(CHECK, &reference, &got);
         traced_passes += 1;
         Ok(())
     })?;
     let mut spans = SpanLog::default();
-    let (pipelines, matches) = pipeline_replay(&input, &mut spans)?;
+    let (pipelines, replayed) = pipeline_replay(&input, &mut spans)?;
     outcome.expect_eq(
-        "traced pipelines vs 1-worker match count",
-        matches,
-        reference.matches,
+        "traced pipelines vs 1-worker run, per feed",
+        &reference,
+        &replayed,
     );
     let mut layers = LayerReport::default();
     let costs = LayerCosts::from_spans(&spans, input.frames as u64);
-    layers.engine_layers(&costs, &pipelines.iter().collect::<Vec<_>>(), matches);
+    layers.engine_layers(
+        &costs,
+        &pipelines.iter().collect::<Vec<_>>(),
+        matches(&replayed),
+    );
     let traced_frames = (input.frames as u64 * traced_passes) as f64;
     layers.multi_worker_busy_us_per_frame = schedule.busy_ns as f64 / 1e3 / traced_frames;
     layers.multi_schedule_parallelism = SchedulingStats {

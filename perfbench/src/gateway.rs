@@ -7,7 +7,8 @@
 //! number of commands in flight over a sparse pedestrian scene (M1 with
 //! tracker-id reuse, so the object lifecycle churns), a catalog of dozens
 //! of CNF queries, an ADD/REMOVE every few hundred frames that toggles
-//! ≥-only pruning, and a POLL for the one subscriber at fixed intervals.
+//! ≥-only pruning, and a POLL draining the one subscriber at fixed
+//! intervals.
 //! The store (append + fsync per operation, a snapshot per compaction
 //! epoch) and query evaluation over the large catalog carry the cost.
 
@@ -32,7 +33,9 @@ use crate::report::{median, EndToEnd, Latencies, Outcome};
 use crate::spans::SpanLog;
 use crate::timing_io::{IoSnapshot, TimingIo};
 use crate::transcript::Transcript;
-use crate::{out_dir, passes_until, segmented_feed, write_spans, RunArgs, Scale, SplitMix};
+use crate::{
+    drop_one_match, out_dir, passes_until, segmented_feed, write_spans, RunArgs, Scale, SplitMix,
+};
 
 /// Window length and minimum duration (frames).
 const WINDOW: (usize, usize) = (16, 6);
@@ -43,20 +46,13 @@ const IN_FLIGHT: usize = 4;
 /// Frames between catalog swaps (alternately ADD a query with a `<=`
 /// condition, which turns pruning off, and REMOVE it again).
 const SWAP_EVERY: usize = 250;
-/// Frames between POLLs.
+/// Frames between POLLs; each POLL drains everything queued.
 const POLL_EVERY: usize = 8;
-/// Events one POLL drains at most: a page the server answers in one
-/// buffered write (under its 8 KiB write buffer). In trial runs with larger
-/// pages and commands in flight, such replies sporadically took ~40 ms,
-/// which swamped the bounded end-to-end figures; the traced run times one
-/// large reply on its own (`subscribe.bulk_poll_rtt_us`).
-const POLL_MAX: usize = 64;
 /// The subscriber's queue capacity.
 const SUB_CAP: usize = 1024;
-/// Frames ingested before each bulk POLL of the traced probe.
-const BULK_FRAMES: usize = 256;
-/// Bulk POLL probes per traced run.
-const BULK_PROBES: usize = 5;
+/// How long the client waits for a reply (or to send) before it counts
+/// the operation as failed and ends the pass.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
 /// Timed restarts per pass.
 const RESTARTS: usize = 4;
 /// Compaction policy: frequent enough that the pass crosses epochs, so
@@ -101,18 +97,21 @@ pub fn config() -> EngineConfig {
         .with_compaction(Some(COMPACTION))
 }
 
-/// A random query over the pedestrian scene: a group of people, mostly
-/// together with a vehicle. With `allow_leq` the group is bounded above
-/// instead (`person <= n`), which turns ≥-only pruning off while the query
-/// is registered.
-fn query_text(rng: &mut SplitMix, allow_leq: bool) -> String {
+/// Query `index` of a catalog over the pedestrian scene: a group of people,
+/// mostly together with a vehicle. The group's bound and the query's shape
+/// cycle with `index`, so every seed's catalog has the same mix (the mix
+/// sets how many events a frame publishes) and only the vehicles are drawn
+/// at random. With `allow_leq` the group is bounded above instead
+/// (`person <= n`), which turns ≥-only pruning off while the query is
+/// registered.
+fn query_text(index: usize, rng: &mut SplitMix, allow_leq: bool) -> String {
     const VEHICLES: [&str; 3] = ["car", "truck", "bus"];
     let people = if allow_leq {
-        format!("person <= {}", 1 + rng.below(3))
+        format!("person <= {}", 1 + index % 3)
     } else {
-        format!("person >= {}", 5 + rng.below(4))
+        format!("person >= {}", 5 + index % 4)
     };
-    match rng.below(4) {
+    match (index / 4) % 4 {
         0 => people,
         1 => format!("{people} AND {} >= 1", VEHICLES[rng.below(3) as usize]),
         _ => {
@@ -140,7 +139,7 @@ fn frame_text(frame: &FrameObjects, registry: &ClassRegistry) -> String {
 /// Generates the history, catalog and command stream of `seed`.
 pub fn input(seed: u64, scale: Scale) -> Input {
     let (segments, history_frames) = match scale {
-        Scale::Full => (4, 1200),
+        Scale::Full => (8, 1200),
         Scale::Tiny => (1, 200),
     };
     let registry = ClassRegistry::with_default_classes();
@@ -150,14 +149,14 @@ pub fn input(seed: u64, scale: Scale) -> Input {
     let history = all;
     let mut rng = SplitMix(seed ^ 0x0067_6174_6577_6179);
     let base_queries = (0..BASE_QUERIES)
-        .map(|_| query_text(&mut rng, false))
+        .map(|i| query_text(i, &mut rng, false))
         .collect();
     let mut stream = Vec::new();
     let mut adds = 0;
     for (i, frame) in frames.iter().enumerate() {
         if i > 0 && i % SWAP_EVERY == 0 {
             if (i / SWAP_EVERY) % 2 == 1 {
-                stream.push(Command::Add(adds, query_text(&mut rng, true)));
+                stream.push(Command::Add(adds, query_text(adds, &mut rng, true)));
                 adds += 1;
             } else {
                 stream.push(Command::Remove(adds - 1));
@@ -263,6 +262,15 @@ impl StreamLog {
         self.transcript.word(3);
     }
 
+    /// Counts a command that got no usable reply as a missed latency sample.
+    fn on_failure(&mut self, command: &Command) {
+        match command {
+            Command::Frame(..) => self.frames.record_failure(),
+            Command::Add(..) | Command::Remove(_) => self.swaps.record_failure(),
+            Command::Poll => self.polls.record_failure(),
+        }
+    }
+
     fn on_poll(&mut self, events: &[(u64, u64, u32, Vec<u32>)], dropped: u64, remaining: u64) {
         self.transcript.entries += 1;
         self.transcript.word(4);
@@ -326,6 +334,8 @@ impl Client {
     fn connect(addr: std::net::SocketAddr) -> Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(IO_TIMEOUT))?;
         Ok(Client {
             reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),
@@ -349,23 +359,34 @@ impl Client {
         self.send(command)?;
         self.recv()
     }
+
+    /// Sends `command` and waits for its reply, counting the operation in
+    /// `outcome` and, unless the reply is `OK`, its failure (an `ERR`, an
+    /// I/O error or a timeout).
+    fn exchange(&mut self, command: &str, outcome: &mut Outcome) -> Option<String> {
+        outcome.attempted += 1;
+        match self.request(command) {
+            Ok(response) if response.starts_with("OK") => Some(response),
+            _ => {
+                outcome.failed += 1;
+                None
+            }
+        }
+    }
 }
 
 /// Runs the command stream over `client` with [`IN_FLIGHT`] commands
-/// outstanding, counting every operation and every `ERR`.
-fn run_stream(
-    client: &mut Client,
-    input: &Input,
-    sub: u64,
-    outcome: &mut Outcome,
-) -> Result<StreamLog> {
+/// outstanding, counting every operation and every `ERR`. A send or
+/// receive that fails or times out ends the pass: every command still
+/// waiting for its reply counts as failed.
+fn run_stream(client: &mut Client, input: &Input, sub: u64, outcome: &mut Outcome) -> StreamLog {
     let mut log = StreamLog::default();
     let mut ids: Vec<Option<u32>> = Vec::new();
     let mut pending: VecDeque<(usize, Instant)> = VecDeque::new();
-    let poll = format!("POLL {sub} {POLL_MAX}");
+    let poll = format!("POLL {sub}");
     let start = Instant::now();
     let mut next = 0;
-    while next < input.stream.len() || !pending.is_empty() {
+    'stream: loop {
         while next < input.stream.len() && pending.len() < IN_FLIGHT {
             let text = match &input.stream[next] {
                 Command::Frame(_, text) => text.clone(),
@@ -384,29 +405,33 @@ fn run_stream(
                 Command::Poll => poll.clone(),
             };
             outcome.attempted += 1;
-            client.send(&text)?;
             pending.push_back((next, Instant::now()));
             next += 1;
+            if client.send(&text).is_err() {
+                break 'stream;
+            }
         }
-        let Some((index, sent)) = pending.pop_front() else {
-            continue;
+        let Some(&(index, sent)) = pending.front() else {
+            break;
         };
-        let response = client.recv()?;
+        let Ok(response) = client.recv() else {
+            break;
+        };
+        pending.pop_front();
         let elapsed = sent.elapsed();
         let ok = response.starts_with("OK");
         if !ok {
             outcome.failed += 1;
         }
-        match &input.stream[index] {
-            Command::Frame(..) => {
-                match (ok, field(&response, "matches"), field(&response, "events")) {
-                    (true, Some(matches), Some(events)) => {
-                        log.frames.record(elapsed);
-                        log.on_frame(matches, events);
-                    }
-                    _ => log.frames.record_failure(),
+        let command = &input.stream[index];
+        match command {
+            Command::Frame(..) => match (field(&response, "matches"), field(&response, "events")) {
+                (Some(matches), Some(events)) if ok => {
+                    log.frames.record(elapsed);
+                    log.on_frame(matches, events);
                 }
-            }
+                _ => log.on_failure(command),
+            },
             Command::Add(ordinal, _) => {
                 let id = field(&response, "id").and_then(|v| u32::try_from(v).ok());
                 if ids.len() <= *ordinal {
@@ -418,25 +443,29 @@ fn run_stream(
                         log.swaps.record(elapsed);
                         log.on_add(id);
                     }
-                    None => log.swaps.record_failure(),
+                    None => log.on_failure(command),
                 }
             }
             Command::Remove(_) if ok => {
                 log.swaps.record(elapsed);
                 log.on_remove();
             }
-            Command::Remove(_) => log.swaps.record_failure(),
+            Command::Remove(_) => log.on_failure(command),
             Command::Poll => match parse_poll(&response).filter(|_| ok) {
                 Some((events, dropped, remaining)) => {
                     log.polls.record(elapsed);
                     log.on_poll(&events, dropped, remaining);
                 }
-                None => log.polls.record_failure(),
+                None => log.on_failure(command),
             },
         }
     }
+    for (index, _) in pending {
+        outcome.failed += 1;
+        log.on_failure(&input.stream[index]);
+    }
     log.wall = start.elapsed();
-    Ok(log)
+    log
 }
 
 /// One server pass: restart from a copy of the prepared dir (timed set-up),
@@ -488,24 +517,18 @@ fn server_pass(
         handle.expect("at least one restart"),
     );
 
-    outcome.attempted += 1;
-    let subscribed = client.request(&format!("SUBSCRIBE cap={SUB_CAP}"))?;
-    let sub = field(&subscribed, "sub").unwrap_or_else(|| {
-        outcome.failed += 1;
-        0
-    });
+    let sub = client
+        .exchange(&format!("SUBSCRIBE cap={SUB_CAP}"), outcome)
+        .and_then(|subscribed| field(&subscribed, "sub"))
+        .unwrap_or(0);
     let before = counters.as_ref().map(|c| c.snapshot()).unwrap_or_default();
-    let log = run_stream(&mut client, input, sub, outcome)?;
+    let log = run_stream(&mut client, input, sub, outcome);
     let io = counters
         .as_ref()
         .map(|c| c.snapshot().since(&before))
         .unwrap_or_default();
 
-    outcome.attempted += 1;
-    let stats = client.request("STATS")?;
-    if !stats.starts_with("OK") {
-        outcome.failed += 1;
-    }
+    let stats = client.exchange("STATS", outcome).unwrap_or_default();
     outcome.expect_eq(
         "server restarted from the prepared dir (STATS recoveries)",
         field(&stats, "recoveries"),
@@ -528,6 +551,8 @@ fn server_pass(
 pub struct Replay {
     /// What the replay answered.
     pub log: StreamLog,
+    /// Every stream frame's matches.
+    pub frames: Transcript,
     /// `recover` wall time.
     pub recover: Duration,
     /// WAL records `recover` replayed.
@@ -538,8 +563,9 @@ pub struct Replay {
     pub busy: Duration,
 }
 
-/// Replays the stream in process against a copy of the prepared dir.
-pub fn replay(input: &Input, prepared: &Path, work: &Path) -> Result<Replay> {
+/// Replays the stream in process against a copy of the prepared dir. With
+/// `corrupt`, one match is dropped from the answers (the negative control).
+pub fn replay(input: &Input, prepared: &Path, work: &Path, corrupt: bool) -> Result<Replay> {
     copy_dir(prepared, work)?;
     let t0 = Instant::now();
     let (mut engine, report) = TemporalVideoQueryEngine::recover(RealIo::shared(), work)?;
@@ -548,6 +574,8 @@ pub fn replay(input: &Input, prepared: &Path, work: &Path) -> Result<Replay> {
     let mut hub = SubscriptionHub::new();
     let sub = hub.subscribe(SUB_CAP, None);
     let mut log = StreamLog::default();
+    let mut frames = Transcript::default();
+    let mut armed = corrupt;
     let mut ids: Vec<QueryId> = Vec::new();
     let mut busy = Duration::ZERO;
     for command in &input.stream {
@@ -565,9 +593,11 @@ pub fn replay(input: &Input, prepared: &Path, work: &Path) -> Result<Replay> {
                 let frame = FrameObjects::new(source.fid, detections)
                     .with_track_ends(source.track_ends.clone());
                 let t0 = Instant::now();
-                let result = engine.observe(&frame)?;
+                let mut result = engine.observe(&frame)?;
+                drop_one_match(&mut armed, &mut result.matches);
                 let events = hub.publish(FeedId(0), result.frame, &result.matches);
                 busy += t0.elapsed();
+                frames.frame(0, result.frame.0, &result.matches);
                 log.on_frame(result.matches.len() as u64, events as u64);
             }
             Command::Add(_, text) => {
@@ -587,7 +617,7 @@ pub fn replay(input: &Input, prepared: &Path, work: &Path) -> Result<Replay> {
             }
             Command::Poll => {
                 let t0 = Instant::now();
-                let events = hub.poll(sub, POLL_MAX)?;
+                let events = hub.poll(sub, usize::MAX)?;
                 let (dropped, remaining) = hub
                     .subscription(sub)
                     .map_or((0, 0), |s| (s.dropped(), s.queued() as u64));
@@ -612,6 +642,7 @@ pub fn replay(input: &Input, prepared: &Path, work: &Path) -> Result<Replay> {
     let _ = std::fs::remove_dir_all(work);
     Ok(Replay {
         log,
+        frames,
         recover,
         records_replayed: report.records_replayed,
         recovered_frames,
@@ -619,63 +650,21 @@ pub fn replay(input: &Input, prepared: &Path, work: &Path) -> Result<Replay> {
     })
 }
 
-/// Round trip of one POLL that drains a backlog far larger than a page,
-/// sent with commands in flight behind it: restart from the prepared dir,
-/// subscribe, ingest [`BULK_FRAMES`] frames one at a time, then send the
-/// POLL followed by `IN_FLIGHT - 1` more FRAMEs before reading its reply.
-fn bulk_poll(
-    input: &Input,
-    prepared: &Path,
-    work: &Path,
-    outcome: &mut Outcome,
-) -> Result<Duration> {
-    let dir = fresh_dir(work);
-    copy_dir(prepared, &dir)?;
-    let server = QueryServer::bind_with_store("127.0.0.1:0", config(), RealIo::shared(), &dir)?;
-    let handle = server.spawn()?;
-    let mut client = Client::connect(handle.addr())?;
-    let mut ok = |response: &str| {
-        outcome.attempted += 1;
-        if !response.starts_with("OK") {
-            outcome.failed += 1;
-        }
-    };
-    let subscribed = client.request("SUBSCRIBE cap=65536")?;
-    ok(&subscribed);
-    let sub = field(&subscribed, "sub").unwrap_or(0);
-    let mut frames = input.stream.iter().filter_map(|c| match c {
-        Command::Frame(_, text) => Some(text),
-        _ => None,
-    });
-    for text in frames.by_ref().take(BULK_FRAMES) {
-        ok(&client.request(text)?);
-    }
-    let behind: Vec<&String> = frames.take(IN_FLIGHT - 1).collect();
-    let t0 = Instant::now();
-    client.send(&format!("POLL {sub}"))?;
-    for text in &behind {
-        client.send(text)?;
-    }
-    let response = client.recv()?;
-    let elapsed = t0.elapsed();
-    ok(&response);
-    for _ in &behind {
-        ok(&client.recv()?);
-    }
-    let _ = client.request("QUIT");
-    drop(client);
-    handle.stop()?;
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(elapsed)
+/// The rebuilt pipeline after replaying history and stream.
+struct PipelineReplay {
+    pipeline: Pipeline,
+    /// Maintainer counters when the stream started.
+    base: tvq_core::MaintenanceMetrics,
+    /// Lifecycle generations started and tracks ended when the stream
+    /// started.
+    base_lifecycle: (u64, u64),
+    /// Every stream frame's matches.
+    frames: Transcript,
 }
 
 /// Replays history and stream through the rebuilt pipeline; spans cover
-/// the stream only. Returns the pipeline, its counters at the stream's
-/// start, and the stream's match count.
-fn pipeline_replay(
-    input: &Input,
-    spans: &mut SpanLog,
-) -> Result<(Pipeline, tvq_core::MaintenanceMetrics, (u64, u64), u64)> {
+/// the stream only.
+fn pipeline_replay(input: &Input, spans: &mut SpanLog) -> Result<PipelineReplay> {
     let mut pipeline = Pipeline::new(
         &config(),
         MaintainerKind::Ssg,
@@ -695,20 +684,25 @@ fn pipeline_replay(
         pipeline.lifecycle().tracks_ended(),
     );
     let mut ids = Vec::new();
-    let mut matches = 0u64;
+    let mut frames = Transcript::default();
     for (request, command) in input.stream.iter().enumerate() {
         match command {
             Command::Frame(index, _) => {
-                matches += pipeline
-                    .observe(&input.frames[*index], request as u64, spans)?
-                    .len() as u64;
+                let frame = &input.frames[*index];
+                let matches = pipeline.observe(frame, request as u64, spans)?;
+                frames.frame(0, frame.fid.0, &matches);
             }
             Command::Add(_, text) => ids.push(pipeline.add_query_text(text)?),
             Command::Remove(ordinal) => pipeline.remove_query(ids[*ordinal])?,
             Command::Poll => {}
         }
     }
-    Ok((pipeline, base, base_lifecycle, matches))
+    Ok(PipelineReplay {
+        pipeline,
+        base,
+        base_lifecycle,
+        frames,
+    })
 }
 
 /// Scratch directories of one run, removed when dropped.
@@ -745,7 +739,12 @@ pub fn run(args: &RunArgs) -> Result<Outcome> {
     prepare(&input, &prepared)?;
     let mut outcome = Outcome::default();
 
-    let reference = replay(&input, &prepared, &dirs.path("replay"))?;
+    let reference = replay(
+        &input,
+        &prepared,
+        &dirs.path("replay"),
+        args.corrupt_reference,
+    )?;
     outcome.expect_eq(
         "recovered frame cursor",
         reference.recovered_frames,
@@ -780,7 +779,7 @@ pub fn run(args: &RunArgs) -> Result<Outcome> {
             check(&mut outcome, &pass);
             e2e.setup_s
                 .extend(pass.setup.iter().map(Duration::as_secs_f64));
-            e2e.pass(frames, pass.log.wall, &pass.log.frames);
+            e2e.pass(pass.log.frames_ok as usize, pass.log.wall, &pass.log.frames);
             Ok(())
         })?;
         e2e.capture_rss();
@@ -801,10 +800,10 @@ pub fn run(args: &RunArgs) -> Result<Outcome> {
     passes_until(deadline, 2, |_| {
         let pass = server_pass(&input, &prepared, &work, false, &mut outcome)?;
         check(&mut outcome, &pass);
-        e2e.pass(frames, pass.log.wall, &pass.log.frames);
+        e2e.pass(pass.log.frames_ok as usize, pass.log.wall, &pass.log.frames);
         let pass = server_pass(&input, &prepared, &work, true, &mut outcome)?;
         check(&mut outcome, &pass);
-        traced_rates.push(frames as f64 / pass.log.wall.as_secs_f64().max(1e-9));
+        traced_rates.push(pass.log.frames_ok as f64 / pass.log.wall.as_secs_f64().max(1e-9));
         frame_rtt.extend(&pass.log.frames);
         swap_rtt.extend(&pass.log.swaps);
         poll_rtt.extend(&pass.log.polls);
@@ -815,22 +814,23 @@ pub fn run(args: &RunArgs) -> Result<Outcome> {
         Ok(())
     })?;
 
-    let mut bulk = Vec::with_capacity(BULK_PROBES);
-    for _ in 0..BULK_PROBES {
-        bulk.push(bulk_poll(&input, &prepared, &work, &mut outcome)?.as_secs_f64() * 1e6);
-    }
-    let timed_replay = replay(&input, &prepared, &dirs.path("replay"))?;
+    let timed_replay = replay(&input, &prepared, &dirs.path("replay"), false)?;
     let mut spans = SpanLog::default();
-    let (pipeline, base, (generations0, ended0), matches) = pipeline_replay(&input, &mut spans)?;
+    let PipelineReplay {
+        pipeline,
+        base,
+        base_lifecycle: (generations0, ended0),
+        frames: replayed,
+    } = pipeline_replay(&input, &mut spans)?;
     outcome.expect_eq(
-        "traced pipeline vs server match count",
-        matches,
-        reference.log.transcript.matches,
+        "traced pipeline vs in-process replay, per frame",
+        reference.frames,
+        replayed,
     );
 
     let mut layers = LayerReport::default();
     let costs = LayerCosts::from_spans(&spans, frames as u64);
-    layers.engine_layers(&costs, &[&pipeline], matches);
+    layers.engine_layers(&costs, &[&pipeline], replayed.matches);
     // The pipeline also replayed the history; count the stream only.
     let m = pipeline.maintainer_metrics();
     let per_frame = |now: u64, then: u64| (now - then) as f64 / frames as f64;
@@ -864,7 +864,6 @@ pub fn run(args: &RunArgs) -> Result<Outcome> {
     layers.subscribe_events_per_frame = last_log.events as f64 / frames as f64;
     layers.subscribe_dropped_share = ratio(last_log.dropped, last_log.events);
     layers.subscribe_poll_rtt_us = poll_rtt.mean();
-    layers.subscribe_bulk_poll_rtt_us = median(&bulk);
     layers.server_frame_rtt_us = frame_rtt.mean();
     let server_us_per_frame = traced_wall.as_secs_f64() * 1e6 / traced_frames;
     let inproc_us_per_frame = timed_replay.busy.as_secs_f64() * 1e6 / frames as f64;
@@ -873,4 +872,36 @@ pub fn run(args: &RunArgs) -> Result<Outcome> {
     layers.finish(&mut outcome);
     write_spans(args, &spans, &mut outcome);
     Ok(outcome)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A server that accepts and reads but never replies: the client gives
+    /// up after its timeout, and every command in flight counts as failed.
+    #[test]
+    fn a_silent_server_fails_the_commands_in_flight_instead_of_hanging() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let silent = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            // Read until the client hangs up; never reply.
+            let _ = std::io::copy(&mut stream, &mut std::io::sink());
+        });
+        let input = input(1, Scale::Tiny);
+        let mut client = Client::connect(addr).unwrap();
+        let mut outcome = Outcome::default();
+        let log = run_stream(&mut client, &input, 0, &mut outcome);
+        drop(client);
+        silent.join().unwrap();
+        assert_eq!(
+            (outcome.attempted, outcome.failed),
+            (IN_FLIGHT as u64, IN_FLIGHT as u64)
+        );
+        assert_eq!(log.frames_ok, 0);
+        assert_eq!(log.frames.samples(), IN_FLIGHT);
+        assert!(log.frames.percentile(0.5).0.is_infinite());
+    }
 }

@@ -39,7 +39,6 @@ pub struct LayerReport {
     pub subscribe_events_per_frame: f64,
     pub subscribe_dropped_share: f64,
     pub subscribe_poll_rtt_us: f64,
-    pub subscribe_bulk_poll_rtt_us: f64,
     pub server_frame_rtt_us: f64,
     pub server_overhead_us_per_frame: f64,
     pub multi_worker_busy_us_per_frame: f64,
@@ -98,7 +97,7 @@ impl LayerReport {
 
     /// Appends every per-layer metric to `outcome`, in a fixed order.
     pub fn finish(&self, outcome: &mut Outcome) {
-        let rows: [(&str, f64, &'static str); 36] = [
+        let rows: [(&str, f64, &'static str); 35] = [
             ("lifecycle.us_per_frame", self.lifecycle_us_per_frame, "us"),
             (
                 "lifecycle.generations_started",
@@ -194,11 +193,6 @@ impl LayerReport {
                 "ratio",
             ),
             ("subscribe.poll_rtt_us", self.subscribe_poll_rtt_us, "us"),
-            (
-                "subscribe.bulk_poll_rtt_us",
-                self.subscribe_bulk_poll_rtt_us,
-                "us",
-            ),
             ("server.frame_rtt_us", self.server_frame_rtt_us, "us"),
             (
                 "server.overhead_us_per_frame",

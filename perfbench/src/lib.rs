@@ -82,6 +82,9 @@ pub struct RunArgs {
     pub trace: bool,
     /// Input size.
     pub scale: Scale,
+    /// Negative control for the crate's tests: drop one match from the
+    /// reference every check compares against, so every check must fail.
+    pub corrupt_reference: bool,
 }
 
 impl RunArgs {
@@ -102,6 +105,14 @@ pub fn run(args: &RunArgs) -> tvq_common::Result<Outcome> {
     }
 }
 
+/// The negative control's corruption: while `armed`, drops one match from
+/// `matches` and disarms.
+pub fn drop_one_match(armed: &mut bool, matches: &mut Vec<tvq_query::QueryMatch>) {
+    if *armed && matches.pop().is_some() {
+        *armed = false;
+    }
+}
+
 /// Where runs leave their span logs and scratch data: `out/` beside this
 /// crate's manifest, inside the checkout the benchmark was built in.
 pub fn out_dir() -> PathBuf {
@@ -110,11 +121,9 @@ pub fn out_dir() -> PathBuf {
 
 /// Writes a traced run's span log, noting the file in `outcome`.
 pub fn write_spans(args: &RunArgs, spans: &spans::SpanLog, outcome: &mut Outcome) {
-    let path = out_dir().join(format!(
-        "spans-{}-seed{}.tsv",
-        args.workload.name(),
-        args.seed
-    ));
+    // One file per workload, overwritten by its next traced run, so the
+    // logs of many runs do not pile up.
+    let path = out_dir().join(format!("spans-{}.tsv", args.workload.name()));
     match spans.write_tsv(&path) {
         Ok(()) => outcome.notes.push(format!(
             "spans={} written to {}",

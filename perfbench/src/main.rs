@@ -62,6 +62,7 @@ fn parse(args: &[String]) -> Result<RunArgs, String> {
         seconds,
         trace,
         scale,
+        corrupt_reference: false,
     })
 }
 

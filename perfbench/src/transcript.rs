@@ -40,15 +40,6 @@ impl Transcript {
         }
     }
 
-    /// Mixes a string into the hash.
-    pub fn text(&mut self, value: &str) {
-        self.word(value.len() as u64);
-        for byte in value.bytes() {
-            self.hash ^= u64::from(byte);
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
-    }
-
     /// Records one frame's matches (any order) for feed `feed`.
     pub fn frame(&mut self, feed: u32, frame: u64, matches: &[QueryMatch]) {
         let mut keys: Vec<(u32, Vec<u32>, Vec<u64>)> = matches
@@ -74,12 +65,6 @@ impl Transcript {
             self.word(frames.len() as u64);
             frames.into_iter().for_each(|f| self.word(f));
         }
-    }
-
-    /// Records one opaque entry (a server response line).
-    pub fn entry(&mut self, value: &str) {
-        self.entries += 1;
-        self.text(value);
     }
 }
 

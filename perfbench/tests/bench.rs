@@ -3,9 +3,7 @@
 
 use std::process::Command;
 
-use tvq_core::MaintainerKind;
-use tvq_perfbench::transcript::Transcript;
-use tvq_perfbench::{crowd, run, Outcome, RunArgs, Scale, Workload};
+use tvq_perfbench::{run, Outcome, RunArgs, Scale, Workload};
 
 const WORKLOADS: [&str; 3] = ["crowd", "gateway", "fleet"];
 
@@ -90,15 +88,20 @@ fn bad_arguments_exit_nonzero_without_a_result() {
     assert!(out.stdout.is_empty());
 }
 
-fn traced(workload: Workload, seed: u64) -> Outcome {
-    let outcome = run(&RunArgs {
+fn tiny(workload: Workload, seed: u64, trace: bool, corrupt_reference: bool) -> Outcome {
+    run(&RunArgs {
         workload,
         seed,
         seconds: 0.0,
-        trace: true,
+        trace,
         scale: Scale::Tiny,
+        corrupt_reference,
     })
-    .expect("the run completes");
+    .expect("the run completes")
+}
+
+fn traced(workload: Workload, seed: u64) -> Outcome {
+    let outcome = tiny(workload, seed, true, false);
     assert!(outcome.correct(), "{:?}", outcome.problems);
     outcome
 }
@@ -156,28 +159,42 @@ fn crowd_layers_add_up_and_idle_layers_read_zero() {
     assert!(gateway.metric("store.recover_records_replayed").unwrap() > 0.0);
 }
 
-/// Negative control: the crowd check must catch a transcript with one
-/// match missing.
+/// Negative control: with one match dropped from the reference a run
+/// checks against, every check that uses it must fail, traced and not.
 #[test]
-fn a_corrupted_transcript_fails_the_correctness_check() {
-    let input = crowd::input(9, Scale::Tiny).unwrap();
-    let reference = crowd::engine_transcript(&input, MaintainerKind::Mfs).unwrap();
-    let mut engine = crowd::build_engine(&input, MaintainerKind::Ssg).unwrap();
-    let (mut clean, mut corrupted) = (Transcript::default(), Transcript::default());
-    let mut dropped = false;
-    for frame in &input.frames {
-        let mut result = engine.observe(frame).unwrap();
-        clean.frame(0, result.frame.0, &result.matches);
-        if !dropped && !result.matches.is_empty() {
-            result.matches.pop();
-            dropped = true;
+fn a_corrupted_reference_fails_every_check() {
+    let cases: [(Workload, &[&str], &[&str]); 3] = [
+        (
+            Workload::Gateway,
+            &["server responses vs in-process replay"],
+            &["traced pipeline vs in-process replay, per frame"],
+        ),
+        (
+            Workload::Fleet,
+            &["2-worker transcripts vs 1-worker run"],
+            &["traced pipelines vs 1-worker run, per feed"],
+        ),
+        (
+            Workload::Crowd,
+            &["SSG_O engine vs MFS_O engine"],
+            &["traced pipeline vs MFS_O engine"],
+        ),
+    ];
+    for (workload, untraced_checks, traced_checks) in cases {
+        for trace in [false, true] {
+            let outcome = tiny(workload, 9, trace, true);
+            let mut expected = untraced_checks.to_vec();
+            if trace {
+                expected.extend_from_slice(traced_checks);
+            }
+            for check in expected {
+                assert!(
+                    outcome.problems.iter().any(|p| p.starts_with(check)),
+                    "{workload:?} trace={trace}: {check:?} did not fail: {:?}",
+                    outcome.problems
+                );
+            }
+            assert!(tiny(workload, 9, trace, false).correct());
         }
-        corrupted.frame(0, result.frame.0, &result.matches);
     }
-    assert!(dropped, "the tiny scene must produce a match");
-    let mut outcome = Outcome::default();
-    crowd::check(&mut outcome, "clean", &reference, &clean);
-    assert!(outcome.correct(), "{:?}", outcome.problems);
-    crowd::check(&mut outcome, "corrupted", &reference, &corrupted);
-    assert!(!outcome.correct());
 }
